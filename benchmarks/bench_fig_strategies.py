@@ -11,9 +11,10 @@ source-to-landmark tables ``d(s, r, e)``:
 Both must produce identical final answers; the benchmark verifies that and
 reports the phase timings.  At pure-Python scale the auxiliary strategy's
 large constant factors dominate, so the expected "shape" result here is
-agreement of outputs plus the documented constant-factor gap (recorded in
-EXPERIMENTS.md); the asymptotic advantage only materialises for dense
-graphs and large ``sigma`` beyond interpreter-friendly sizes.
+agreement of outputs plus the constant-factor gap (the repository
+benchmark's workloads and their measurements are in ``msrpbench/README.md``);
+the asymptotic advantage only materialises for dense graphs and large
+``sigma`` beyond interpreter-friendly sizes.
 """
 
 from __future__ import annotations

@@ -56,11 +56,10 @@ def run_key(
     sigma: int,
     strategy: str,
     workers: int = 0,
-    pool_reuse: bool = True,
     numpy_tier: Optional[bool] = None,
     executor: Optional[str] = None,
 ) -> str:
-    """Stable row key; serial and reuse-on rows keep historical keys.
+    """Stable row key; serial and worker rows keep historical keys.
 
     ``numpy_tier=None`` (whatever the environment selects) adds no
     suffix, so pre-existing baselines keep diffing; explicit tier rows
@@ -71,8 +70,6 @@ def run_key(
     key = f"n={n},sigma={sigma},strategy={strategy}"
     if workers:
         key += f",workers={workers}"
-        if not pool_reuse:
-            key += ",pool_reuse=off"
     if numpy_tier is not None:
         key += f",numpy={'on' if numpy_tier else 'off'}"
     if executor is not None:
@@ -139,7 +136,6 @@ def run_one(
     strategy: str,
     repeat: int,
     workers: int = 0,
-    pool_reuse: bool = True,
     numpy_tier: Optional[bool] = None,
     executor: Optional[str] = None,
 ) -> Dict:
@@ -162,10 +158,7 @@ def run_one(
                 graph,
                 sources,
                 params=AlgorithmParams(
-                    seed=n,
-                    workers=workers,
-                    pool_reuse=pool_reuse,
-                    executor=executor,
+                    seed=n, workers=workers, executor=executor
                 ),
                 landmark_strategy=strategy,
             )
@@ -175,14 +168,12 @@ def run_one(
             if best is None or wall < best["wall_seconds"]:
                 best = {
                     "key": run_key(
-                        n, sigma, strategy, workers, pool_reuse, numpy_tier,
-                        executor,
+                        n, sigma, strategy, workers, numpy_tier, executor
                     ),
                     "n": n,
                     "sigma": sigma,
                     "strategy": strategy,
                     "workers": workers,
-                    "pool_reuse": bool(pool_reuse),
                     "numpy": numpy_tier,
                     "executor": executor,
                     "executor_stats": dict(solver.executor_stats),
@@ -203,68 +194,54 @@ def run_suite(
     strategy: str,
     repeat: int,
     workers_list: Optional[List[int]] = None,
-    pool_reuse_modes: Optional[List[bool]] = None,
     numpy_modes: Optional[List[Optional[bool]]] = None,
     executor: Optional[str] = None,
     verbose: bool = True,
 ) -> List[Dict]:
-    """One row per (size, worker count, pool-reuse mode, kernel tier).
+    """One row per (size, worker count, kernel tier).
 
-    Serial and reuse-on rows keep historical keys so baselines keep
-    diffing; reuse-off rows (``pool_reuse_modes`` including ``False``)
-    re-run the worker configurations with one pool per sharded phase, so
-    the trajectory records the per-phase pool start-up overhead that
-    :class:`~repro.parallel.WorkerPool` reuse removes.  All rows of a
-    size must report identical fingerprints — that is the determinism
+    All rows of a size must report identical fingerprints — that is the determinism
     contract of :mod:`repro.parallel`, and :func:`main` enforces it after
     the suite runs.
     """
     workers_list = workers_list if workers_list is not None else [0]
-    pool_reuse_modes = pool_reuse_modes if pool_reuse_modes is not None else [True]
     numpy_modes = numpy_modes if numpy_modes is not None else [None]
     runs = []
     for n in sizes:
         for workers in workers_list:
-            # Pool reuse only matters once phases actually shard; serial
-            # rows run once regardless of the requested modes.
-            modes = [True] if workers == 0 else pool_reuse_modes
-            for pool_reuse in modes:
-                for numpy_tier in numpy_modes:
-                    run = run_one(
-                        n,
-                        sigma,
-                        strategy,
-                        repeat,
-                        workers=workers,
-                        pool_reuse=pool_reuse,
-                        numpy_tier=numpy_tier,
-                        executor=executor,
+            for numpy_tier in numpy_modes:
+                run = run_one(
+                    n,
+                    sigma,
+                    strategy,
+                    repeat,
+                    workers=workers,
+                    numpy_tier=numpy_tier,
+                    executor=executor,
+                )
+                runs.append(run)
+                if verbose:
+                    phases = ", ".join(
+                        f"{name}={seconds:.3f}s"
+                        for name, seconds in sorted(
+                            run["phase_seconds"].items(), key=lambda kv: -kv[1]
+                        )
                     )
-                    runs.append(run)
-                    if verbose:
-                        phases = ", ".join(
-                            f"{name}={seconds:.3f}s"
-                            for name, seconds in sorted(
-                                run["phase_seconds"].items(), key=lambda kv: -kv[1]
-                            )
-                        )
+                    print(f"{run['key']}: {run['wall_seconds']:.3f}s  ({phases})")
+                    breakdown = run["aux_breakdown"]
+                    if any(breakdown.values()):
                         print(
-                            f"{run['key']}: {run['wall_seconds']:.3f}s  ({phases})"
-                        )
-                        breakdown = run["aux_breakdown"]
-                        if any(breakdown.values()):
-                            print(
-                                "  aux breakdown: "
-                                + ", ".join(
-                                    f"{name}={seconds:.3f}s"
-                                    for name, seconds in breakdown.items()
-                                )
+                            "  aux breakdown: "
+                            + ", ".join(
+                                f"{name}={seconds:.3f}s"
+                                for name, seconds in breakdown.items()
                             )
+                        )
     return runs
 
 
 def check_worker_fingerprints(runs: List[Dict]) -> None:
-    """Fail loudly if any worker count / pool-reuse / kernel tier diverged.
+    """Fail loudly if any worker count / kernel tier diverged.
 
     Rows group by the base ``(n, sigma, strategy)`` key, so the
     ``,numpy=on`` and ``,numpy=off`` rows of one instance are held to the
@@ -342,18 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--pool-reuse",
-        choices=("on", "off", "both"),
-        default="on",
-        metavar="MODE",
-        help=(
-            "pool lifecycle for worker rows: 'on' (default) reuses one "
-            "WorkerPool per solve, 'off' opens one pool per sharded phase "
-            "(the historical scheduling), 'both' records a row per mode so "
-            "the trajectory captures the pool start-up overhead"
-        ),
-    )
-    parser.add_argument(
         "--numpy",
         choices=("auto", "on", "off", "both"),
         default="auto",
@@ -395,9 +360,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         FAST_SIZES if args.fast else DEFAULT_SIZES
     )
     workers_list = args.workers if args.workers else [0]  # [] would emit no rows
-    pool_reuse_modes = {"on": [True], "off": [False], "both": [True, False]}[
-        args.pool_reuse
-    ]
     numpy_modes: List[Optional[bool]] = {
         "auto": [None],
         "on": [True],
@@ -415,7 +377,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.strategy,
         max(1, args.repeat),
         workers_list,
-        pool_reuse_modes,
         numpy_modes,
         executor,
     )
@@ -433,7 +394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "repeat": max(1, args.repeat),
             "fast": bool(args.fast),
             "workers": workers_list,
-            "pool_reuse": args.pool_reuse,
             "numpy": args.numpy,
             "executor": args.executor,
         },

@@ -4,9 +4,12 @@ The paper positions its ``O~(m sqrt(n sigma) + sigma n^2)`` algorithm against
 (a) the per-edge-BFS brute force, (b) the per-target classical algorithm,
 and (c) running its own SSRP algorithm independently per source.  This
 benchmark measures all four on the same instances and prints the speedup
-table; the expected *shape* is that the paper's algorithm wins against the
-brute force and the per-target baseline on every configuration, with the
-margin growing with ``n`` and with ``sigma``.
+table.  The asserted shape is at the cost-model level only: the paper's
+algorithm needs fewer predicted operations than the brute force.  Measured
+pure-Python times do not show it winning at these sizes: on the
+repository benchmark's ``solve-direct`` workload (``msrpbench/README.md``)
+the brute force (``oracle_s``) finishes several times faster than the
+solver (``solve_s``).
 """
 
 from __future__ import annotations
@@ -75,9 +78,10 @@ def test_table1_runtime_comparison(benchmark, num_vertices, num_sources):
 
     # Shape assertion at the model level: the paper's cost model predicts
     # fewer operations than the brute force for every configuration.  The
-    # measured pure-Python timings are reported above and discussed in
-    # EXPERIMENTS.md (interpreter constant factors keep the brute force
-    # competitive at these instance sizes on sparse graphs).
+    # measured pure-Python timings are reported above; msrpbench/README.md
+    # records how the solver and the brute force compare end to end
+    # (interpreter constant factors keep the brute force ahead at these
+    # instance sizes on sparse graphs).
     assert predicted_operations(
         "msrp", graph.num_vertices, graph.num_edges, len(sources)
     ) < predicted_operations(

@@ -7,10 +7,11 @@ how much longer the best route becomes — and which closures disconnect a
 customer entirely.
 
 The "road network" is modelled as a grid with a few diagonal shortcuts (a
-standard synthetic stand-in for a city street network).  The script builds
-a fault-tolerant distance oracle from the depots, ranks the most fragile
-(depot, customer) pairs by their worst-case stretch, and lists the critical
-road segments whose failure disconnects some customer.
+standard synthetic stand-in for a city street network).  The script solves
+the multiple-source replacement-path problem from the depots once, ranks
+the most fragile (depot, customer) pairs by their worst-case stretch, and
+lists the critical road segments whose failure disconnects some customer.
+Every answer after the solve is a lookup in the result table.
 
 Run with::
 
@@ -22,7 +23,12 @@ from __future__ import annotations
 import math
 import random
 
-from repro import AlgorithmParams, FaultTolerantDistanceOracle, Graph
+from repro import (
+    AlgorithmParams,
+    Graph,
+    ReplacementPathResult,
+    multiple_source_replacement_paths,
+)
 from repro.graph import generators
 
 
@@ -40,6 +46,21 @@ def build_city(rows: int = 9, cols: int = 12, seed: int = 3) -> Graph:
     return Graph(rows * cols, edges[: int(len(edges) * 0.93)])
 
 
+def worst_stretch(result: ReplacementPathResult, depot: int, customer: int) -> float:
+    """Worst ratio of detour to intact distance over single closures.
+
+    ``math.inf`` when some closure disconnects the pair; ``1.0`` when no
+    closure can hurt (the customer is the depot itself).
+    """
+    base = result.distance(depot, customer)
+    if math.isinf(base):
+        return math.inf
+    if base == 0:
+        return 1.0
+    lengths = result.replacement_lengths(depot, customer)
+    return max(lengths.values()) / base if lengths else 1.0
+
+
 def main() -> None:
     city = build_city()
     depots = [0, 58, 107]
@@ -47,18 +68,18 @@ def main() -> None:
     print(f"street network: {city.num_vertices} junctions, {city.num_edges} segments")
     print(f"depots: {depots}\n")
 
-    oracle = FaultTolerantDistanceOracle(
+    result = multiple_source_replacement_paths(
         city, depots, params=AlgorithmParams(seed=3)
-    ).preprocess()
+    )
 
     # Rank (depot, customer) pairs by worst-case stretch under one closure.
     ranking = []
     for depot in depots:
         for customer in customers:
-            base = oracle.distance(depot, customer)
+            base = result.distance(depot, customer)
             if math.isinf(base):
                 continue
-            stretch = oracle.vulnerability(depot, customer)
+            stretch = worst_stretch(result, depot, customer)
             ranking.append((stretch, depot, customer, base))
     ranking.sort(reverse=True)
 
@@ -71,13 +92,11 @@ def main() -> None:
     critical = set()
     for depot in depots:
         for customer in customers:
-            for edge, length in oracle.result.replacement_lengths(depot, customer).items():
+            for edge, length in result.replacement_lengths(depot, customer).items():
                 if math.isinf(length):
                     # Disconnected from this depot; check the other depots.
                     if all(
-                        math.isinf(
-                            oracle.query(other, customer, edge)
-                        )
+                        math.isinf(result.replacement_length(other, customer, edge))
                         for other in depots
                     ):
                         critical.add((edge, customer))

@@ -12,7 +12,6 @@ The package is organised in layers:
   source-to-landmark replacement paths in ``O~(m sqrt(n sigma) + sigma n^2)``.
 * :mod:`repro.parallel` — process-sharded execution of the per-source
   phases (``AlgorithmParams.workers``), deterministic at any worker count.
-* :mod:`repro.oracle` — a fault-tolerant distance-oracle facade.
 * :mod:`repro.lowerbound` — the Section 9 reduction from Boolean matrix
   multiplication.
 * :mod:`repro.baselines`, :mod:`repro.analysis` — baselines and runtime
@@ -27,7 +26,6 @@ from repro.core.result import ReplacementPathResult
 from repro.core.ssrp import single_source_replacement_paths
 from repro.graph.graph import Graph
 from repro.graph import generators
-from repro.oracle.ftoracle import FaultTolerantDistanceOracle
 from repro.rp.single_pair import replacement_paths
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "replacement_paths",
     "single_source_replacement_paths",
     "multiple_source_replacement_paths",
-    "FaultTolerantDistanceOracle",
 ]
 
 __version__ = "1.0.0"

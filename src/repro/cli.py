@@ -83,15 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     common.add_argument(
-        "--no-pool-reuse",
-        action="store_true",
-        help=(
-            "open a fresh process pool per sharded phase instead of one "
-            "pool per solve (the historical scheduling; for overhead "
-            "comparisons — output is identical either way)"
-        ),
-    )
-    common.add_argument(
         "--executor",
         choices=("auto", "serial", "process"),
         default="auto",
@@ -228,7 +219,6 @@ def _make_solver(
         seed=args.seed,
         verify=args.verify,
         workers=args.workers,
-        pool_reuse=not args.no_pool_reuse,
         executor=None if args.executor == "auto" else args.executor,
         checkpoint=args.checkpoint,
     )

@@ -117,21 +117,19 @@ class MSRPSolver:
     def _make_executor(self) -> Optional[Executor]:
         """Build the executor for one solve scope per ``params``.
 
-        ``params.executor`` picks the transport explicitly; ``None`` keeps
-        the historical automatic behaviour — a process executor when
-        ``workers > 1`` and ``pool_reuse`` is on, one-shot pools per phase
-        when ``pool_reuse`` is off, and the plain in-process path (no
-        executor object at all) for serial solves.  A checkpointed solve
-        always gets an executor (the journal rides on it), serial when
-        ``workers <= 1``.
+        ``params.executor`` picks the transport explicitly; ``None``
+        selects automatically — a process executor when ``workers > 1``
+        and the plain in-process path (no executor object at all) for
+        serial solves.  A checkpointed solve always gets an executor (the
+        journal rides on it), serial when ``workers <= 1``.
         """
         params = self.params
         kind = params.executor
         if kind is None:
-            if params.checkpoint is not None:
-                kind = "process" if params.workers > 1 else "serial"
-            elif params.workers > 1 and params.pool_reuse:
+            if params.workers > 1:
                 kind = "process"
+            elif params.checkpoint is not None:
+                kind = "serial"
             else:
                 return None
         executor = make_executor(kind, workers=params.workers)
@@ -147,11 +145,11 @@ class MSRPSolver:
 
         Covers everything that determines the solve's output: the graph
         (by fingerprint), the result-affecting parameters (by hash — the
-        scheduling knobs ``workers``/``pool_reuse``/``executor``/
-        ``checkpoint`` and the post-hoc ``verify`` flag are excluded, so a
-        journal written under one worker count resumes under another), the
-        landmark strategy and the source set.  A journal whose identity
-        differs refuses to open rather than splice mismatched results.
+        scheduling knobs ``workers``/``executor``/``checkpoint`` and the
+        post-hoc ``verify`` flag are excluded, so a journal written under
+        one worker count resumes under another), the landmark strategy and
+        the source set.  A journal whose identity differs refuses to open
+        rather than splice mismatched results.
         """
         import hashlib
         import json
@@ -160,7 +158,7 @@ class MSRPSolver:
         from repro.store.format import graph_fingerprint
 
         params = asdict(self.params)
-        for knob in ("workers", "pool_reuse", "executor", "checkpoint", "verify"):
+        for knob in ("workers", "executor", "checkpoint", "verify"):
             params.pop(knob, None)
         params_blob = json.dumps(params, sort_keys=True).encode("utf-8")
         return {

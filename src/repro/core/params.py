@@ -63,14 +63,6 @@ class AlgorithmParams:
         builds, the assembly sweeps and (under ``verify``) the brute-force
         oracle's per-edge BFS sweep across that many worker processes.
         Output is byte-identical at every worker count.
-    pool_reuse:
-        When ``True`` (default) the solver opens one
-        :class:`~repro.parallel.WorkerPool` spanning every sharded phase of
-        a solve and re-installs each phase's context into the running
-        workers; ``False`` restores the historical one-pool-per-phase
-        scheduling (one pool start-up per sharded phase), which exists for
-        the benchmark harness' overhead comparison.  Irrelevant when
-        ``workers <= 1``; the output is identical either way.
     executor:
         Transport for the sharded phases (:mod:`repro.parallel.executor`).
         ``None`` (default) selects automatically — the process transport
@@ -98,7 +90,6 @@ class AlgorithmParams:
     seed: Optional[int] = None
     verify: bool = False
     workers: int = 0
-    pool_reuse: bool = True
     executor: Optional[str] = None
     checkpoint: Optional[str] = None
 

@@ -113,12 +113,12 @@ class ReplacementPathResult:
     def distance(self, source: int, target: int) -> float:
         """Length of the canonical shortest ``source``-``target`` path."""
         source = self._require_source(source)
-        return self._trees[source].distance(_vertex_id(target))
+        return self._trees[source].distance(self._require_target(target))
 
     def canonical_path(self, source: int, target: int) -> List[int]:
         """The canonical shortest ``source``-``target`` path (vertex list)."""
         source = self._require_source(source)
-        return self._trees[source].path_to(_vertex_id(target))
+        return self._trees[source].path_to(self._require_target(target))
 
     def replacement_length(
         self, source: int, target: int, edge: Sequence[int]
@@ -137,7 +137,7 @@ class ReplacementPathResult:
         answering for a deletion that cannot happen.
         """
         source = self._require_source(source)
-        target = _vertex_id(target)
+        target = self._require_target(target)
         e = self._require_edge(edge)
         per_target = self._tables[source].get(target, {})
         if e in per_target:
@@ -155,8 +155,8 @@ class ReplacementPathResult:
     def require_edge(self, edge: Sequence[int]) -> Edge:
         """Validate and normalise ``edge`` exactly as the query path does.
 
-        Public so serving layers that answer queries from cached slices
-        (bypassing :meth:`replacement_length`) apply the same non-edge
+        Public so the serving layer's cached ``(source, edge)`` sweeps
+        (which bypass :meth:`replacement_length`) apply the same non-edge
         rejection; returns the normalised ``(min, max)`` tuple.
         """
         return self._require_edge(edge)
@@ -164,7 +164,7 @@ class ReplacementPathResult:
     def replacement_lengths(self, source: int, target: int) -> Dict[Edge, float]:
         """All stored ``edge -> length`` entries for a ``(source, target)`` pair."""
         source = self._require_source(source)
-        return dict(self._tables[source].get(_vertex_id(target), {}))
+        return dict(self._tables[source].get(self._require_target(target), {}))
 
     # -- bulk views -------------------------------------------------------------
 
@@ -267,6 +267,21 @@ class ReplacementPathResult:
                 f"{source} is not one of the result's sources {self.sources}"
             )
         return source
+
+    def _require_target(self, target: int) -> int:
+        """Coerce ``target`` like a source and reject ids outside ``0..n-1``.
+
+        A negative id would otherwise wrap around the trees' flat arrays
+        (``-1`` answering for vertex ``n - 1``), and an id ``>= n`` would
+        raise a bare ``IndexError``.
+        """
+        target = _vertex_id(target)
+        n = self._vertex_bound
+        if not 0 <= target < n:
+            raise InvalidParameterError(
+                f"target {target} is not a vertex of a graph on {n} vertices"
+            )
+        return target
 
     def _require_edge(self, edge: Sequence[int]) -> Edge:
         """Normalise ``edge`` and reject pairs that are not graph edges."""

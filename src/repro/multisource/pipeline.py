@@ -83,8 +83,7 @@ def compute_auxiliary_tables(
     :class:`~repro.parallel.Executor` via ``pool`` makes every sharded
     phase reuse its running workers (each phase context is broadcast into
     them), so the whole Section 8 pipeline pays at most one pool start-up;
-    without it each phase opens its own one-shot pool, which is the
-    measured ~10% overhead the solver's pool-reuse mode exists to avoid.
+    without it each phase opens its own one-shot pool.
     """
     timings = phase_seconds if phase_seconds is not None else {}
     if rng is None:

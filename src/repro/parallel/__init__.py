@@ -24,9 +24,6 @@ package shards those key lists across an :class:`Executor`:
   :func:`run_sharded`) and every completed chunk's results are durably
   recorded; a killed solve resumes by re-executing only unjournaled
   keys, fingerprint-identical to an uninterrupted run.
-* :mod:`repro.parallel.pool` — backwards-compatible facade
-  (``WorkerPool`` is the historical name of
-  :class:`LocalProcessExecutor`).
 * :mod:`repro.parallel.tasks` — the module-level task functions (they must
   be importable by name so the ``spawn`` start method can pickle them).
 * :mod:`repro.parallel.seeding` — tagged child-seed derivation, used to
@@ -59,7 +56,6 @@ from repro.parallel.executor import (
     worker_context,
 )
 from repro.parallel.journal import CheckpointJournal
-from repro.parallel.pool import WorkerPool
 from repro.parallel.seeding import child_rng, derive_child_seed
 
 __all__ = [
@@ -68,7 +64,6 @@ __all__ = [
     "Executor",
     "LocalProcessExecutor",
     "SerialExecutor",
-    "WorkerPool",
     "child_rng",
     "default_start_method",
     "derive_child_seed",

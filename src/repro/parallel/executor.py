@@ -20,11 +20,10 @@ rest (dedup, journal replay, input-order fan-out) from the base class:
 
 Two implementations ship today — :class:`SerialExecutor` (the in-process
 fallback, promoted to a first-class transport) and
-:class:`LocalProcessExecutor` (the multiprocessing pool previously known
-as ``WorkerPool``, with its generation-countered broadcasts, liveness
-polling and bounded crash retries intact).  A future ``RemoteExecutor``
-slots in behind the same interface and inherits the whole fault-injection
-and determinism test surface.
+:class:`LocalProcessExecutor` (the multiprocessing pool, with its
+generation-countered broadcasts, liveness polling and bounded crash
+retries).  A future ``RemoteExecutor`` slots in behind the same interface
+and inherits the whole fault-injection and determinism test surface.
 
 **Scheduling contract** (shared by every transport):
 
@@ -769,8 +768,8 @@ class LocalProcessExecutor(Executor):
 
         The first context travels through the pool initializer — free under
         ``fork`` (inherited memory), pickled once per worker under
-        ``spawn`` — so a one-shot use of the pool costs exactly what the
-        pre-``WorkerPool`` per-phase scheduling cost.
+        ``spawn`` — so a one-shot use of the pool costs exactly what a
+        one-pool-per-phase schedule would.
         """
         global POOLS_OPENED
         if self._pool is not None:

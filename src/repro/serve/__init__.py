@@ -5,7 +5,7 @@ The *query often* half of the preprocess/serve split:
 batches and sweeps over asyncio HTTP from a loaded :mod:`repro.store`
 directory, and :mod:`repro.serve.client` is the matching keep-alive
 client used by the ``repro-msrp query``/``status`` CLI, the test-suite
-and the QPS benchmark.
+and the repository benchmark.
 
 Both halves are hardened for unattended operation (see
 ``docs/robustness.md``): the server sheds load past ``max_connections``

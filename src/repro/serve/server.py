@@ -19,23 +19,25 @@ Endpoints
     One replacement length.  The response encodes infinite lengths as
     ``{"length": null, "infinite": true}`` so the body stays strict JSON.
 ``POST /query``
-    Batched sweep: body ``{"queries": [{"source", "target", "edge"}, ...]}``;
-    each item resolves independently to an answer or an error object, so
-    one bad query does not fail the batch.
+    Batched point queries: body
+    ``{"queries": [{"source", "target", "edge"}, ...]}``; each item
+    resolves independently to an answer or an error object, so one bad
+    query does not fail the batch.
 ``GET /sweep?source=S&u=U&v=V``
     The full ``(source, edge)`` slice: replacement lengths for every
-    vertex, served straight from the LRU.
+    vertex, served through the slice LRU.
 
 Caching
 -------
-Answers are grouped by ``(source, edge)`` *slice*: the per-target lengths
-for one failed edge seen from one source.  A point query materialises its
-slice once (one pass over the source's table and tree) and the LRU keeps
-the hottest slices resident, so repeated traffic against a hot
-``(source, edge)`` pair — the access pattern of an incident analysis, where
-one failure is probed against many destinations — degenerates to a dict
-lookup per query.  ``/status`` reports the hit rate so the
-``bench_msrp_qps`` harness can attribute cold/hot throughput to the cache.
+A point query is a lookup in the loaded result table
+(:meth:`~repro.core.result.ReplacementPathResult.replacement_length`) and
+touches no cache.  A ``/sweep`` answers one ``(source, edge)`` *slice*:
+the per-target lengths for one failed edge seen from one source.  Building
+a slice is one pass over the source's table and tree, so an LRU keeps the
+hottest slices resident; repeated sweeps of a hot ``(source, edge)`` pair
+(an incident analysis probing one failure against every destination) are
+then a dict lookup.  ``/status`` reports the LRU's hits, misses and hit
+rate.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.core.result import ReplacementPathResult
 from repro.exceptions import (
     InvalidParameterError,
-    NotOnPathError,
     ReproError,
     ServerStartupError,
 )
@@ -66,7 +67,7 @@ from repro.store.format import (
     load_store,
 )
 
-#: Default LRU capacity (hot (source, edge) slices kept resident).
+#: Default LRU capacity (hot (source, edge) sweep slices kept resident).
 DEFAULT_LRU_SLICES = 256
 #: Largest request body the server will read (1 MiB).
 MAX_BODY_BYTES = 1 << 20
@@ -169,10 +170,10 @@ class SliceCache:
 
 
 class OracleService:
-    """Query façade over a loaded result: validation, slices, counters.
+    """Query façade over a loaded result: validation, sweeps, counters.
 
     Transport-agnostic on purpose — the asyncio HTTP server below, the
-    test-suite and the QPS benchmark all drive the same object.
+    test-suite and the repository benchmark all drive the same object.
     """
 
     def __init__(
@@ -208,7 +209,7 @@ class OracleService:
     # -- query surface -----------------------------------------------------
 
     def _slice(self, source: int, edge: Edge) -> Dict[int, float]:
-        """The per-target lengths of one ``(source, edge)`` pair, cached."""
+        """The per-target lengths of one ``(source, edge)`` sweep, cached."""
         key = (source, edge)
         cached = self.cache.get(key)
         if cached is not None:
@@ -227,7 +228,7 @@ class OracleService:
             else:
                 # Not on the canonical path: deleting the edge cannot
                 # change the distance (same fall-through as
-                # ``replacement_length``, hoisted out of the per-query path).
+                # ``replacement_length``, hoisted out of the per-target loop).
                 lengths[target] = tree.distance(target)
         self.cache.put(key, lengths)
         return lengths
@@ -260,15 +261,15 @@ class OracleService:
         return v
 
     def point_query(self, source: int, target: int, edge) -> float:
-        """``d(source, target, avoiding=edge)`` via the slice cache."""
+        """``d(source, target, avoiding=edge)``: one result-table lookup."""
         source = self._require_source(source)
         target = self._require_vertex(target, "target")
-        # Full edge validation first (the store always carries the graph),
-        # so a cached slice can never mask a non-edge query.
-        e = self.result.require_edge(edge)
+        # replacement_length validates the edge and raises NotOnPathError
+        # on an incomplete table instead of answering d(s, t).
+        length = self.result.replacement_length(source, target, edge)
         self.point_queries += 1
         self.rate_window.note()
-        return self._slice(source, e)[target]
+        return length
 
     def sweep(self, source: int, edge) -> Dict[int, float]:
         """All targets' replacement lengths for one ``(source, edge)``."""
@@ -802,8 +803,8 @@ def serve_store(
 class ServerThread:
     """A :class:`QueryServer` running on a daemon thread's event loop.
 
-    Tests and the QPS benchmark need a live HTTP endpoint in-process; this
-    helper owns the loop/thread pair and tears both down on ``stop()``.
+    Tests need a live HTTP endpoint in-process; this helper owns the
+    loop/thread pair and tears both down on ``stop()``.
     Use as a context manager::
 
         with ServerThread.from_store(store_dir) as handle:

@@ -260,7 +260,7 @@ def test_auxiliary_pipeline_matches_bruteforce_sweep(name):
     The seed also toggles the process-sharded path (``workers`` cycles
     through 0/2/3) *and* the sharded brute-force oracle (``oracle_workers``
     alternates 0/2 on a coprime stride), so the nightly job fuzzes the
-    parallel merge, the pool-reuse lifecycle and the sharded oracle
+    parallel merge, the per-solve pool lifecycle and the sharded oracle
     against each other on the same instances it already sweeps — a
     sharded pipeline is regularly checked against a serial oracle and
     vice versa, so the two parallel paths can never only be compared to

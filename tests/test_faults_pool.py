@@ -38,7 +38,7 @@ from repro.faults import (
     fired_count,
 )
 from repro.graph import generators
-from repro.parallel import SerialExecutor, WorkerPool, run_sharded
+from repro.parallel import LocalProcessExecutor, SerialExecutor, run_sharded
 from repro.parallel.tasks import chaos_probe_task
 
 #: Hard wall-clock bound per test: the battery's whole point is "never a
@@ -81,7 +81,7 @@ def test_killed_worker_recovers_identically(tmp_path):
     re-executes only that chunk, and the merged output matches serial."""
     plan = FaultPlan([Fault("kill_worker", chunk_index=1)])
     with active_plan(plan, str(tmp_path)) as plan_path:
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             result = pool.run(chaos_probe_task, KEYS, CONTEXT)
             assert pool.crash_recoveries >= 1
             assert pool.serial_degradations == 0
@@ -94,7 +94,7 @@ def test_exhausted_retries_degrade_to_serial(tmp_path):
     finishes on the in-process serial path with identical output."""
     plan = FaultPlan([Fault("kill_worker", chunk_index=0, times=10)])
     with active_plan(plan, str(tmp_path)) as plan_path:
-        with WorkerPool(2, max_crash_retries=2) as pool:
+        with LocalProcessExecutor(2, max_crash_retries=2) as pool:
             result = pool.run(chaos_probe_task, KEYS, CONTEXT)
             assert pool.crash_recoveries == 3
             assert pool.serial_degradations == 1
@@ -110,7 +110,9 @@ def test_exhausted_retries_raise_typed_error(tmp_path):
     BrokenPipeError."""
     plan = FaultPlan([Fault("kill_worker", chunk_index=0, times=10)])
     with active_plan(plan, str(tmp_path)) as plan_path:
-        with WorkerPool(2, max_crash_retries=1, degrade_to_serial=False) as pool:
+        with LocalProcessExecutor(
+            2, max_crash_retries=1, degrade_to_serial=False
+        ) as pool:
             with pytest.raises(WorkerCrashError) as excinfo:
                 pool.run(chaos_probe_task, KEYS, CONTEXT)
         assert fired_count(plan_path) >= 1  # anti-vacuity: the kill fired
@@ -125,7 +127,7 @@ def test_hung_chunk_times_out_and_recovers(tmp_path):
     re-fire), output identical."""
     plan = FaultPlan([Fault("hang_chunk", chunk_index=0, seconds=600.0)])
     with active_plan(plan, str(tmp_path)) as plan_path:
-        with WorkerPool(2, chunk_timeout=1.0) as pool:
+        with LocalProcessExecutor(2, chunk_timeout=1.0) as pool:
             result = pool.run(chaos_probe_task, KEYS, CONTEXT)
             assert pool.crash_recoveries >= 1
         assert fired_count(plan_path) == 1
@@ -138,7 +140,7 @@ def test_deterministic_task_error_is_not_retried(tmp_path):
     would raise identically, purity guarantees it)."""
     plan = FaultPlan([Fault("raise_chunk", chunk_index=1)])
     with active_plan(plan, str(tmp_path)) as plan_path:
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             with pytest.raises(InjectedFault):
                 pool.run(chaos_probe_task, KEYS, CONTEXT)
             assert pool.crash_recoveries == 0
@@ -151,7 +153,7 @@ def test_externally_killed_worker_between_phases(tmp_path):
     """A worker killed from *outside* (no plan involved) while the pool is
     idle between phases: the next phase's broadcast detects the dead pid,
     respawns, and completes identically."""
-    with WorkerPool(2) as pool:
+    with LocalProcessExecutor(2) as pool:
         first = pool.run(chaos_probe_task, KEYS, CONTEXT)
         victim = next(iter(pool._pool._pool))
         os.kill(victim.pid, signal.SIGKILL)
@@ -208,7 +210,7 @@ def test_close_after_abandoned_pool_is_noop(monkeypatch):
     monkeypatch.setattr(
         executor_module.LocalProcessExecutor, "_terminate_quietly", _wedged_terminate
     )
-    with WorkerPool(2) as pool:
+    with LocalProcessExecutor(2) as pool:
         result = pool.run(chaos_probe_task, KEYS, CONTEXT)
         pool.close()  # abandons: _terminate_quietly never returns
         assert pool._pool is None
@@ -234,7 +236,7 @@ def test_close_after_abandoned_pool_is_noop(monkeypatch):
 )
 def test_recovery_knobs_validated(kwargs):
     with pytest.raises(InvalidParameterError):
-        WorkerPool(2, **kwargs)
+        LocalProcessExecutor(2, **kwargs)
 
 
 def test_fault_plan_validation():
@@ -297,7 +299,7 @@ def _chaos_round(seed: int, tmp_path) -> None:
     plan_dir = tmp_path / f"seed{seed}"
     plan_dir.mkdir()
     with active_plan(FaultPlan([fault]), str(plan_dir)) as plan_path:
-        with WorkerPool(2, chunk_timeout=2.0) as pool:
+        with LocalProcessExecutor(2, chunk_timeout=2.0) as pool:
             if kind == "raise_chunk":
                 with pytest.raises(InjectedFault):
                     pool.run(

@@ -7,16 +7,14 @@ Five families:
   and the validation of every scheduling knob).
 * **Executor contract** — :class:`~repro.parallel.SerialExecutor` and
   :class:`~repro.parallel.LocalProcessExecutor` behind one interface:
-  identical results, shared stats surface, idempotent close, and the
-  ``repro.parallel.pool`` compatibility facade.
+  identical results, shared stats surface and idempotent close.
 * **Pool lifecycle** — :class:`~repro.parallel.LocalProcessExecutor`
-  (a.k.a. ``WorkerPool``) reuse across phases: one multiprocessing pool
-  per solve, generation-countered context broadcasts, the stale-worker
-  guard, and serial degradation.
+  reuse across phases: one multiprocessing pool per solve,
+  generation-countered context broadcasts, the stale-worker guard, and
+  serial degradation.
 * **Determinism** — the full MSRP solve is entry-for-entry identical at
-  ``workers`` ∈ {serial, 2, 4} for both landmark strategies and both
-  pool-reuse modes (the contract the benchmark harness' fingerprint
-  check enforces at scale).
+  ``workers`` ∈ {serial, 2, 4} for both landmark strategies (the
+  contract the benchmark harness' fingerprint check enforces at scale).
 * **Sharded oracle** — the process-sharded brute-force oracle equals the
   serial oracle entry-for-entry on the property-battery generators.
 * **Seeding** — tagged child-seed derivation, and the regression for the
@@ -43,7 +41,6 @@ from repro.parallel import (
     EXECUTOR_KINDS,
     LocalProcessExecutor,
     SerialExecutor,
-    WorkerPool,
     child_rng,
     derive_child_seed,
     make_executor,
@@ -51,7 +48,6 @@ from repro.parallel import (
     run_sharded,
 )
 from repro.parallel import executor as executor_module
-from repro.parallel import pool as pool_module
 from repro.parallel.executor import chunk_keys, default_start_method
 from repro.parallel.tasks import bfs_roots_task
 from repro.rp.bruteforce import brute_force_multi_source, brute_force_single_source
@@ -141,7 +137,7 @@ class TestScheduler:
                 run_sharded(
                     bfs_roots_task, [1, 2], context, workers=0, chunks_per_worker=bad
                 )
-            with WorkerPool(2) as pool:
+            with LocalProcessExecutor(2) as pool:
                 with pytest.raises(InvalidParameterError, match="chunks_per_worker"):
                     pool.run(bfs_roots_task, [1, 2], context, chunks_per_worker=bad)
 
@@ -227,25 +223,13 @@ class TestExecutorContract:
         with pytest.raises(InvalidParameterError, match="executor kind"):
             make_executor("carrier-pigeon")
 
-    def test_pool_module_facade(self):
-        """The ``repro.parallel.pool`` facade: ``WorkerPool`` is the
-        process transport under its historical name, and live module
-        state (counters, worker TLS) is forwarded dynamically rather than
-        snapshotted at import."""
-        assert pool_module.WorkerPool is LocalProcessExecutor
-        assert pool_module._TLS is executor_module._TLS
-        assert pool_module.POOLS_OPENED == executor_module.POOLS_OPENED
-        assert pool_module.run_sharded is executor_module.run_sharded
-        with pytest.raises(AttributeError, match="no attribute"):
-            pool_module.does_not_exist
-
 
 # ---------------------------------------------------------------------------
-# pool lifecycle: WorkerPool reuse across phases
+# pool lifecycle: one LocalProcessExecutor reused across phases
 # ---------------------------------------------------------------------------
 
 
-class TestWorkerPool:
+class TestProcessPoolLifecycle:
     def test_one_pool_spans_phases_with_context_swap(self):
         """Two phases with different contexts reuse one multiprocessing
         pool; the second context is broadcast under a new generation and
@@ -255,7 +239,7 @@ class TestWorkerPool:
         edge = (0, graph.neighbors(0)[0])
         second_ctx = {"graph": graph.csr(), "forbidden_edge": edge}
         before = executor_module.POOLS_OPENED
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             assert not pool.is_open  # opened lazily, on first sharded phase
             first = run_sharded(bfs_roots_task, list(range(8)), first_ctx, pool=pool)
             assert pool.is_open
@@ -280,7 +264,7 @@ class TestWorkerPool:
     def test_same_context_not_rebroadcast(self):
         graph = generators.random_connected_graph(20, extra_edges=24, seed=3)
         context = {"graph": graph.csr(), "forbidden_edge": None}
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             run_sharded(bfs_roots_task, [0, 1, 2, 3], context, pool=pool)
             generation = pool.generation
             run_sharded(bfs_roots_task, [4, 5, 6], context, pool=pool)
@@ -291,7 +275,7 @@ class TestWorkerPool:
         context = {"graph": graph.csr(), "forbidden_edge": None}
         before = executor_module.POOLS_OPENED
         for workers in (0, 1):
-            with WorkerPool(workers) as pool:
+            with LocalProcessExecutor(workers) as pool:
                 result = pool.run(bfs_roots_task, [0, 1, 2], context)
                 assert not pool.is_open
             assert list(result) == [0, 1, 2]
@@ -313,7 +297,7 @@ class TestWorkerPool:
 
     def test_negative_workers_rejected(self):
         with pytest.raises(InvalidParameterError):
-            WorkerPool(-1)
+            LocalProcessExecutor(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +308,6 @@ class TestWorkerPool:
 def _solve_entries(
     strategy: str,
     workers: int,
-    pool_reuse: bool = True,
     executor: str = None,
 ):
     # n=72 matters: this seed's instance has infinite entries, which is what
@@ -336,9 +319,7 @@ def _solve_entries(
     solver = MSRPSolver(
         graph,
         sources,
-        params=AlgorithmParams(
-            seed=n, workers=workers, pool_reuse=pool_reuse, executor=executor
-        ),
+        params=AlgorithmParams(seed=n, workers=workers, executor=executor),
         landmark_strategy=strategy,
     )
     return list(solver.solve().iter_entries())
@@ -355,9 +336,9 @@ def _inf_identity_count(entries):
 def test_fingerprints_identical_across_worker_counts(strategy):
     """serial vs workers=2 vs workers=4: entry-for-entry, order included.
 
-    The worker runs go through the solver's shared :class:`WorkerPool`
-    (``pool_reuse`` defaults on), so this also pins the pooled-vs-serial
-    entry equality — ``math.inf`` identity included — across the
+    The worker runs go through the solver's one
+    :class:`~repro.parallel.LocalProcessExecutor` per solve, so this also
+    pins the pooled-vs-serial entry equality — ``math.inf`` identity included — across the
     generation-countered context swaps of a full multi-phase solve.
     """
     serial = _solve_entries(strategy, 0)
@@ -377,16 +358,6 @@ def test_forced_executor_matches_auto(kind):
     forced = _solve_entries("auxiliary", 2, executor=kind)
     assert forced == serial
     assert _inf_identity_count(forced) == _inf_identity_count(serial)
-
-
-@pytest.mark.parametrize("strategy", ["direct", "auxiliary"])
-def test_pool_reuse_off_matches_serial(strategy):
-    """``pool_reuse=False`` restores one-pool-per-phase scheduling with
-    identical output (the benchmark harness' comparison mode)."""
-    serial = _solve_entries(strategy, 0)
-    legacy = _solve_entries(strategy, 2, pool_reuse=False)
-    assert legacy == serial
-    assert _inf_identity_count(legacy) == _inf_identity_count(serial)
 
 
 def test_auxiliary_solve_opens_exactly_one_pool():
@@ -463,7 +434,7 @@ class TestShardedOracle:
         graph = generators.random_connected_graph(18, extra_edges=22, seed=8)
         serial = brute_force_single_source(graph, 0)
         before = executor_module.POOLS_OPENED
-        with WorkerPool(2) as pool:
+        with LocalProcessExecutor(2) as pool:
             first = brute_force_single_source(graph, 0, pool=pool)
             second = brute_force_single_source(graph, 5, pool=pool)
         assert executor_module.POOLS_OPENED - before == 1

@@ -14,6 +14,7 @@ from repro.exceptions import InvalidParameterError, NotOnPathError
 from repro.graph import generators
 from repro.graph.bfs import bfs_distances, bfs_tree
 from repro.graph.graph import Graph
+from repro.rp.bruteforce import brute_force_multi_source
 
 
 class TestReplacementPathResult:
@@ -37,6 +38,18 @@ class TestReplacementPathResult:
         off_path = [e for e in generators.cycle_graph(7).edges() if set(e) not in
                     [set((path[i], path[i + 1])) for i in range(3)]][0]
         assert result.replacement_length(0, 3, off_path) == 3
+
+    def test_replacement_length_matches_brute_force(self):
+        # Point queries answer from this method, so check it query by
+        # query, not only the table as a whole.
+        g = generators.grid_graph(4, 4)
+        result = multiple_source_replacement_paths(
+            g, [0, 15], params=AlgorithmParams(seed=2)
+        )
+        for s, per_source in brute_force_multi_source(g, [0, 15]).items():
+            for t, per_edge in per_source.items():
+                for edge, truth in per_edge.items():
+                    assert result.replacement_length(s, t, edge) == truth
 
     def test_unknown_source_rejected(self, result):
         with pytest.raises(InvalidParameterError):
@@ -123,6 +136,19 @@ class TestReplacementPathResult:
             result.distance(0.7, 3)
         with pytest.raises(TypeError):
             result.distance(0, 3.5)
+        # Nor wrap: -1 must not answer for vertex n - 1, and n must raise a
+        # typed error, not a bare IndexError.
+        n = 7
+        edge = tuple(result.canonical_path(0, 3)[:2])
+        for target in (-1, -n, n):
+            with pytest.raises(InvalidParameterError, match="not a vertex"):
+                result.distance(0, target)
+            with pytest.raises(InvalidParameterError, match="not a vertex"):
+                result.canonical_path(0, target)
+            with pytest.raises(InvalidParameterError, match="not a vertex"):
+                result.replacement_length(0, target, edge)
+            with pytest.raises(InvalidParameterError, match="not a vertex"):
+                result.replacement_lengths(0, target)
 
 
 class TestSourceLandmarkTables:

@@ -186,15 +186,26 @@ class TestStatusAndCache:
         write_store(directory, result)
         with ServerThread.from_store(directory) as handle:
             with QueryClient(port=handle.port) as client:
-                s, t, e, _ = next(result.iter_entries())
-                client.query(s, t, e)
+                s, _t, e, _ = next(result.iter_entries())
+                client.sweep(s, e)
                 first = client.status()["cache"]
                 assert first["misses"] >= 1
                 for _ in range(5):
-                    client.query(s, t, e)
+                    client.sweep(s, e)
                 second = client.status()["cache"]
                 assert second["hits"] >= first["hits"] + 5
                 assert second["misses"] == first["misses"]
+
+    def test_point_queries_leave_the_slice_cache_untouched(self, served):
+        """Points are table lookups; only /sweep reads or fills the LRU."""
+        _graph, result, handle, client = served
+        cache = handle.service.cache
+        before = (len(cache), cache.hits, cache.misses)
+        queries = [(s, t, e) for s, t, e, _ in list(result.iter_entries())[:20]]
+        for query in queries:
+            client.query(*query)
+        client.query_batch(queries)
+        assert (len(cache), cache.hits, cache.misses) == before
 
     def test_status_reports_both_qps_figures(self, served):
         """/status carries the lifetime average AND the sliding window.
